@@ -272,6 +272,30 @@ def test_bench_paired_grid_wall_clock(benchmark, bench_scale, bench_seed):
     assert len(submitted) == 1
 
 
+def _best_events_per_sec(config: ExperimentConfig) -> float:
+    """Best-of-5 events/s of one config (warm cache, one warmup run)."""
+    default_cache().warm([config])
+    run_experiment(config)  # warmup
+    best = float("inf")
+    events = 0
+    for _ in range(5):
+        started = time.perf_counter()
+        report = run_experiment(config)
+        best = min(best, time.perf_counter() - started)
+        events = report.events_fired
+    return events / best
+
+
+def _check_floor(what: str, measured: float, floor: float) -> None:
+    assert measured >= floor * (1.0 - RATCHET_SLACK), (
+        f"{what} throughput {measured:,.0f} events/s fell more than "
+        f"{RATCHET_SLACK:.0%} below the committed floor {floor:,.0f} "
+        f"(scale {_scale_name()!r}); if this host is simply slower, "
+        f"refresh BENCH_perf.json deliberately instead of shipping a "
+        f"regression"
+    )
+
+
 def test_bench_ratchet_against_committed_floor(bench_scale, bench_seed):
     """Single-run throughput must not regress >10% below the committed
     floor in ``BENCH_perf.json``.
@@ -292,16 +316,7 @@ def test_bench_ratchet_against_committed_floor(bench_scale, bench_seed):
     config = ExperimentConfig(
         policy="unit", update_trace="med-unif", seed=bench_seed, scale=bench_scale
     )
-    default_cache().warm([config])
-    run_experiment(config)  # warmup
-    best = float("inf")
-    events = 0
-    for _ in range(5):
-        started = time.perf_counter()
-        report = run_experiment(config)
-        best = min(best, time.perf_counter() - started)
-        events = report.events_fired
-    measured = events / best
+    measured = _best_events_per_sec(config)
     _record(
         "ratchet",
         {
@@ -311,10 +326,34 @@ def test_bench_ratchet_against_committed_floor(bench_scale, bench_seed):
             "slack": RATCHET_SLACK,
         },
     )
-    assert measured >= floor * (1.0 - RATCHET_SLACK), (
-        f"single-run throughput {measured:,.0f} events/s fell more than "
-        f"{RATCHET_SLACK:.0%} below the committed floor {floor:,.0f} "
-        f"(scale {_scale_name()!r}); if this host is simply slower, "
-        f"refresh BENCH_perf.json deliberately instead of shipping a "
-        f"regression"
+    _check_floor("single-run", measured, floor)
+
+
+def test_bench_traced_ratchet_against_committed_floor(bench_scale, bench_seed):
+    """The tracing-on twin of the single-run ratchet: a run with the
+    recorder, metrics and spans on must not fall >10% below the
+    committed ``obs_null.<scale>.enabled_events_per_sec`` floor."""
+    if os.environ.get("REPRO_BENCH_RATCHET") != "1":
+        pytest.skip("ratchet disabled; set REPRO_BENCH_RATCHET=1 to gate")
+    from repro.obs.config import ObsConfig
+
+    section = _COMMITTED.get("obs_null", {}).get(_scale_name(), {})
+    floor = section.get("enabled_events_per_sec")
+    if not floor:
+        pytest.skip(f"no committed tracing-on floor for scale {_scale_name()!r}")
+
+    config = ExperimentConfig(
+        policy="unit", update_trace="med-unif", seed=bench_seed, scale=bench_scale,
+        obs=ObsConfig(enabled=True),
     )
+    measured = _best_events_per_sec(config)
+    _record(
+        "ratchet_traced",
+        {
+            "seed": bench_seed,
+            "floor_events_per_sec": floor,
+            "measured_events_per_sec": round(measured, 1),
+            "slack": RATCHET_SLACK,
+        },
+    )
+    _check_floor("tracing-on single-run", measured, floor)

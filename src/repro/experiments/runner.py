@@ -416,9 +416,7 @@ def run_experiment(config: ExperimentConfig) -> SimulationReport:
             # Imported lazily above; attrib pulls the USM layer.
             from repro.obs.attrib import attrib_report
 
-            span_result = build_spans(
-                recorder.events(), dropped=recorder.dropped
-            )
+            span_result = build_spans(recorder, dropped=recorder.dropped)
             obs_spans = {"summary": span_result.summary()}
             obs_spans.update(attrib_report(span_result.spans, config.profile))
         obs_artifacts = _export_artifacts(

@@ -195,7 +195,7 @@ class ShardRun:
                 from repro.obs.attrib import attrib_report
 
                 span_result = build_spans(
-                    recorder.events(),
+                    recorder,
                     dropped=recorder.dropped,
                     shard=spec.shard_id if spec.n_shards > 1 else None,
                 )

@@ -5,10 +5,11 @@ and update-frequency modulation reacting to the monitored USM window —
 and this package is the window into those per-decision signals:
 
 ``repro.obs.trace``
-    A trace recorder with typed, slotted trace events (admission,
-    outcome attribution, lock waits/preemptions, update apply/drop,
-    modulation changes, controller window snapshots), recorded in
-    **sim time** and stored in a bounded ring buffer.  The shared
+    A trace recorder with typed hooks (admission, outcome attribution,
+    lock waits/preemptions, update apply/drop, modulation changes,
+    controller window snapshots), recorded in **sim time** into a
+    bounded columnar ring: one payload tuple per event, no per-event
+    object.  The shared
     :data:`~repro.obs.trace.NULL_RECORDER` makes the disabled path a
     single attribute check on every instrumentation site.
 

@@ -13,6 +13,8 @@ import re
 from pathlib import Path
 from typing import Optional
 
+from repro.obs.trace import DEFAULT_CAPACITY
+
 _LABEL_SANITIZER = re.compile(r"[^A-Za-z0-9._-]+")
 
 
@@ -30,7 +32,8 @@ class ObsConfig:
         enabled: Master switch; when False the run uses the shared
             null recorder and none of the other fields matter.
         capacity: Trace ring-buffer size (events); oldest events are
-            evicted (and counted) beyond this.
+            evicted (and counted) beyond this.  Defaults to
+            :data:`repro.obs.trace.DEFAULT_CAPACITY`.
         metrics: Also fold events into a metrics registry.
         keep_events: Attach the flattened event dicts to the
             ``SimulationReport`` (for tests/CLI use; large).
@@ -49,7 +52,7 @@ class ObsConfig:
     """
 
     enabled: bool = True
-    capacity: int = 262_144
+    capacity: int = DEFAULT_CAPACITY
     metrics: bool = True
     keep_events: bool = False
     spans: bool = True

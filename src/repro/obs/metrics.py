@@ -10,15 +10,18 @@ growing a parallel one.
 
 :class:`RunMetrics` is the domain-level sink: it owns a registry and
 knows how to fold each trace-event kind (see :mod:`repro.obs.trace`)
-into the right instruments.  It is driven by the trace recorder as
-events are emitted, so metrics cover the whole run even when the trace
-ring buffer wraps.
+into the right instruments.  The trace recorder hands it each kind's
+columns in emit order — evicted events as they leave the ring, the
+rest before the registry is read — so metrics cover the whole run even
+when the trace ring buffer wraps, at no per-event cost.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+import collections
+from operator import itemgetter
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.obs import trace as _trace
 from repro.sim.stats import OnlineStats, TimeSeries
@@ -236,112 +239,151 @@ class MetricsRegistry:
         return out
 
 
+#: One kind's payloads, in emit order.
+Payloads = Sequence[_trace.Payload]
+
+
+def _count_by(reg: MetricsRegistry, name: str, label: str, values: List[object]) -> None:
+    """One counter per distinct label value, incremented by its count."""
+    counts = collections.Counter(values)
+    if any(type(value) is not str for value in counts):
+        # 1, 1.0 and True share a Counter key but label as three values.
+        counts = collections.Counter(map(str, values))
+    for value, count in counts.items():
+        reg.counter(name, {label: str(value)}).inc(float(count))
+
+
+def _fold_outcomes(reg: MetricsRegistry, times: Sequence[float], payloads: Payloads) -> None:
+    outcomes: Dict[str, int] = {}
+    latency_hist: Optional[Histogram] = None
+    freshness_hist: Optional[Histogram] = None
+    restarts_total: Optional[Counter] = None
+    for payload in payloads:
+        outcome = str(payload[1])
+        outcomes[outcome] = outcomes.get(outcome, 0) + 1
+        if outcome == "rejected":
+            continue
+        latency, freshness, restarts = payload[3:6]
+        if isinstance(latency, (int, float)):
+            if latency_hist is None:
+                latency_hist = reg.histogram("repro_query_latency_seconds", LATENCY_EDGES)
+            latency_hist.observe(float(latency))
+        if isinstance(freshness, (int, float)):
+            if freshness_hist is None:
+                freshness_hist = reg.histogram("repro_query_freshness_ratio", FRESHNESS_EDGES)
+            freshness_hist.observe(float(freshness))
+        if isinstance(restarts, (int, float)) and restarts:
+            if restarts_total is None:
+                restarts_total = reg.counter("repro_query_restarts_total")
+            restarts_total.inc(float(restarts))
+    for outcome, count in outcomes.items():
+        reg.counter("repro_query_outcomes_total", {"outcome": outcome}).inc(float(count))
+
+
+def _fold_preempts(reg: MetricsRegistry, times: Sequence[float], payloads: Payloads) -> None:
+    reg.counter("repro_lock_preemptions_total").inc(float(len(payloads)))
+    victims = [len(payload[3]) for payload in payloads if isinstance(payload[3], list)]
+    if victims:
+        reg.counter("repro_lock_preempt_victims_total").inc(float(sum(victims)))
+
+
+#: ``control.window`` knob fields gauged as ``repro_<name>`` (payload
+#: slots 3-6); slot 0 is the USM, the trailing pairs the components.
+_WINDOW_KNOBS = ("c_flex", "update_load", "degraded_items", "ticket_threshold")
+
+
+def _fold_windows(reg: MetricsRegistry, times: Sequence[float], payloads: Payloads) -> None:
+    gauges: Dict[Tuple[str, Optional[str]], Gauge] = {}
+
+    def gauge(name: str, component: Optional[str] = None) -> Gauge:
+        found = gauges.get((name, component))
+        if found is None:
+            labels = None if component is None else {"component": component}
+            found = gauges[name, component] = reg.gauge(name, labels)
+        return found
+
+    for time, payload in zip(times, payloads):
+        usm = payload[0]
+        if isinstance(usm, (int, float)):
+            gauge("repro_usm").set(time, float(usm))
+        for key, value in zip(_WINDOW_KNOBS, payload[3:7]):
+            if isinstance(value, (int, float)):
+                gauge(f"repro_{key}").set(time, float(value))
+        for key, value in payload[-1]:  # type: ignore[union-attr]
+            if isinstance(value, (int, float)):
+                gauge("repro_usm_component", key).set(time, float(value))
+
+
+def _counter(name: str) -> Callable[..., None]:
+    def fold(reg: MetricsRegistry, times: Sequence[float], payloads: Sequence[object]) -> None:
+        reg.counter(name).inc(float(len(payloads)))
+
+    return fold
+
+
+def _labelled(name: str, label: str, slot: int) -> Callable[..., None]:
+    def fold(reg: MetricsRegistry, times: Sequence[float], payloads: Sequence[object]) -> None:
+        _count_by(reg, name, label, list(map(itemgetter(slot), payloads)))
+
+    return fold
+
+
+def _fold_applies(reg: MetricsRegistry, times: Sequence[float], payloads: Payloads) -> None:
+    on_demand: List[object] = ["true" if payload[2] else "false" for payload in payloads]
+    _count_by(reg, "repro_updates_applied_total", "on_demand", on_demand)
+
+
+#: The fold of each kind that feeds a metric; other kinds are ignored.
+_FOLDS: Dict[str, Callable[..., None]] = {
+    _trace.QUERY_OUTCOME: _fold_outcomes,
+    _trace.QUERY_ADMIT: _counter("repro_query_admitted_total"),
+    _trace.ADMISSION_DECISION: _labelled("repro_admission_decisions_total", "reason", 2),
+    _trace.LOCK_WAIT: _counter("repro_lock_waits_total"),
+    _trace.LOCK_PREEMPT: _fold_preempts,
+    _trace.UPDATE_APPLY: _fold_applies,
+    _trace.UPDATE_DROP: _counter("repro_updates_dropped_total"),
+    _trace.MODULATION_CHANGE: _labelled("repro_modulation_changes_total", "direction", 1),
+    _trace.CONTROL_ALLOCATE: _labelled("repro_control_allocations_total", "dominant", 0),
+    _trace.FAULT_START: _labelled("repro_fault_windows_total", "fault", 1),
+    _trace.CONTROL_WINDOW: _fold_windows,
+}
+
+
 class RunMetrics:
-    """Fold trace events into a metrics registry.
+    """Fold trace columns into a metrics registry.
 
     Passed to :class:`repro.obs.trace.TraceRecorder` as its ``metrics``
-    sink; every emitted event lands here exactly once, in order.
+    sink; every recorded event is folded exactly once, per kind in emit
+    order.  Reading :attr:`registry` (or :meth:`snapshot`) first folds
+    whatever the recorder still holds unfolded.
     """
 
-    __slots__ = ("registry",)
-
-    #: ``control.window`` fields that are snapshot metadata rather than
-    #: USM components; everything else in the event is gauged as a
-    #: per-window component trajectory.
-    _WINDOW_META = frozenset(
-        {"usm", "samples", "signals", "c_flex", "update_load",
-         "degraded_items", "ticket_threshold"}
-    )
+    __slots__ = ("_registry", "_pending")
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self._registry = registry if registry is not None else MetricsRegistry()
+        self._pending: Optional[Callable[[], None]] = None
+
+    def attach(self, pending: Callable[[], None]) -> None:
+        """Called by the recorder: ``pending()`` folds its unfolded events."""
+        self._pending = pending
+
+    @property
+    def registry(self) -> MetricsRegistry:
+        """The registry, with every recorded event folded in."""
+        if self._pending is not None:
+            self._pending()
+        return self._registry
+
+    def fold(self, kind: str, times: Sequence[float], payloads: Payloads) -> None:
+        """Fold one kind's events, given in emit order."""
+        fold = _FOLDS.get(kind)
+        if fold is not None and payloads:
+            fold(self._registry, times, payloads)
 
     def observe_event(self, event: _trace.TraceEvent) -> None:
-        kind = event.kind
-        reg = self.registry
-        if kind == _trace.QUERY_OUTCOME:
-            # ``event.fields`` on the typed hot-kind events builds a
-            # dict per read, so the two hottest branches fetch field
-            # values without it (the typed attributes when present,
-            # falling back to the dict for hand-built TraceEvents).
-            if isinstance(event, _trace.QueryOutcomeEvent):
-                outcome = str(event.outcome)
-                latency: object = event.latency
-                freshness: object = event.freshness
-                restarts: object = event.restarts
-            else:
-                fields = event.fields
-                outcome = str(fields["outcome"])
-                latency = fields["latency"]
-                freshness = fields["freshness"]
-                restarts = fields["restarts"]
-            reg.counter("repro_query_outcomes_total", {"outcome": outcome}).inc()
-            if outcome != "rejected":
-                if isinstance(latency, (int, float)):
-                    reg.histogram(
-                        "repro_query_latency_seconds", LATENCY_EDGES
-                    ).observe(float(latency))
-                if isinstance(freshness, (int, float)):
-                    reg.histogram(
-                        "repro_query_freshness_ratio", FRESHNESS_EDGES
-                    ).observe(float(freshness))
-                if isinstance(restarts, (int, float)) and restarts:
-                    reg.counter("repro_query_restarts_total").inc(float(restarts))
-            return
-        if kind == _trace.QUERY_ADMIT:
-            # Counts only — never materialize the fields dict.
-            reg.counter("repro_query_admitted_total").inc()
-            return
-        fields = event.fields
-        if kind == _trace.ADMISSION_DECISION:
-            reg.counter(
-                "repro_admission_decisions_total",
-                {"reason": str(fields["reason"])},
-            ).inc()
-        elif kind == _trace.LOCK_WAIT:
-            reg.counter("repro_lock_waits_total").inc()
-        elif kind == _trace.LOCK_PREEMPT:
-            victims = fields["victims"]
-            reg.counter("repro_lock_preemptions_total").inc()
-            if isinstance(victims, list):
-                reg.counter("repro_lock_preempt_victims_total").inc(len(victims))
-        elif kind == _trace.UPDATE_APPLY:
-            on_demand = "true" if fields["on_demand"] else "false"
-            reg.counter(
-                "repro_updates_applied_total", {"on_demand": on_demand}
-            ).inc()
-        elif kind == _trace.UPDATE_DROP:
-            reg.counter("repro_updates_dropped_total").inc()
-        elif kind == _trace.MODULATION_CHANGE:
-            reg.counter(
-                "repro_modulation_changes_total",
-                {"direction": str(fields["direction"])},
-            ).inc()
-        elif kind == _trace.CONTROL_ALLOCATE:
-            reg.counter(
-                "repro_control_allocations_total",
-                {"dominant": str(fields["dominant"])},
-            ).inc()
-        elif kind == _trace.FAULT_START:
-            reg.counter(
-                "repro_fault_windows_total", {"fault": str(fields["fault"])}
-            ).inc()
-        elif kind == _trace.CONTROL_WINDOW:
-            time = event.time
-            usm = fields.get("usm")
-            if isinstance(usm, (int, float)):
-                reg.gauge("repro_usm").set(time, float(usm))
-            for key in ("c_flex", "update_load", "degraded_items", "ticket_threshold"):
-                value = fields.get(key)
-                if isinstance(value, (int, float)):
-                    reg.gauge(f"repro_{key}").set(time, float(value))
-            for key, value in fields.items():
-                if key in self._WINDOW_META:
-                    continue
-                if isinstance(value, (int, float)):
-                    reg.gauge(
-                        "repro_usm_component", {"component": key}
-                    ).set(time, float(value))
+        """Fold a single hand-built event."""
+        self.fold(event.kind, [event.time], [_trace.to_payload(event.kind, event.fields)])
 
     def snapshot(self) -> Dict[str, object]:
         return self.registry.snapshot()

@@ -38,6 +38,7 @@ clock (simlint SL002 patrols it like any other simulation component).
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 from pathlib import Path
@@ -60,10 +61,6 @@ WAIT_STATES: Tuple[str, ...] = (
     STATE_EXECUTING,
 )
 
-#: Bootstrap state between ``query.admit`` and the first scheduler
-#: event.  Both fire at the same simulated instant, so this segment is
-#: always zero-length and is dropped from the output.
-_STATE_ADMITTED = "admitted"
 
 # USM components (Eq. 5) a span's outcome feeds.
 COMPONENT_BY_OUTCOME: Dict[str, str] = {
@@ -292,7 +289,11 @@ class _OpenSpan:
         self.txn = txn
         self.admit = admit
         self.deadline = deadline
-        self.state = _STATE_ADMITTED
+        # An admitted query is queued at its admission instant, so on a
+        # well-formed trace this opening segment is zero-length (and
+        # dropped); on a stream missing that enqueue it still accounts
+        # for the time, keeping the exactness contract.
+        self.state = STATE_QUEUED
         self.state_start = admit
         self.segments: List[Segment] = []
         self.wait_fixed: Dict[str, int] = {}
@@ -311,14 +312,12 @@ class _OpenSpan:
     def _close(self, now: float) -> None:
         state = self.state
         start = self.state_start
-        if state is not _STATE_ADMITTED and now > start:
+        # Zero-length segments (same-instant transitions) are dropped;
+        # the telescoping sum is unaffected.
+        if now > start:
             self.segments.append(Segment(state, start, now))
             dur = fixed_from_float(now) - fixed_from_float(start)
             self.wait_fixed[state] = self.wait_fixed.get(state, 0) + dur
-        elif state is not _STATE_ADMITTED and now == start:
-            # Zero-length segments (same-instant transitions) are
-            # dropped; the telescoping sum is unaffected.
-            pass
 
     def begin_lock_wait(self, now: float, item: int) -> None:
         self.end_lock_wait(now)  # a new wait supersedes any open one
@@ -371,35 +370,55 @@ def _failure_cause(wait_fixed: Mapping[str, int]) -> str:
 
 
 EventLike = Union[Mapping[str, object], "_trace.TraceEvent"]
+EventSource = Union["_trace.TraceRecorder", Iterable[EventLike]]
+
+#: The kinds the span fold reads; the rest (modulation changes, control
+#: snapshots, ...) are filtered out before the loop.
+_SPAN_KINDS = frozenset(
+    {
+        _trace.QUERY_ADMIT, _trace.QUERY_OUTCOME, _trace.SCHED_ENQUEUE, _trace.SCHED_DISPATCH,
+        _trace.SCHED_PARK, _trace.ADMISSION_DECISION, _trace.LOCK_WAIT, _trace.LOCK_GRANT,
+        _trace.FAULT_START, _trace.FAULT_END, _trace.TRACE_META,
+    }
+)
 
 
-def _iter_event_tuples(
-    events: Iterable[EventLike],
-) -> Iterable[Tuple[float, str, Mapping[str, object]]]:
-    """Normalize trace events / JSONL dicts to ``(t, kind, fields)``."""
+def _span_events(events: EventSource) -> Iterable[Tuple[float, str, "_trace.Payload"]]:
+    """The ``(time, kind, payload)`` of every event of a kind the span
+    fold reads, in emit order: straight from a recorder's columns, or
+    from :class:`TraceEvent` views / flattened dicts normalized into the
+    same payload layout (:func:`repro.obs.trace.to_payload`)."""
+    if isinstance(events, _trace.TraceRecorder):
+        return _trace.iter_events(*events.columns(), kinds=_SPAN_KINDS)
+    out = []
     for event in events:
         if isinstance(event, _trace.TraceEvent):
-            yield event.time, event.kind, event.fields
-        else:
-            yield (
-                float(event.get("t", 0.0)),  # type: ignore[arg-type]
-                str(event.get("kind", "")),
-                event,
-            )
+            event = event.as_dict()
+        kind = str(event.get("kind", ""))
+        if kind in _SPAN_KINDS:
+            time = float(event.get("t", 0.0))  # type: ignore[arg-type]
+            out.append((time, kind, _trace.to_payload(kind, event)))
+    return out
+
+
+def _text(value: object) -> str:
+    """A string field, with an absent one read as ``""``."""
+    return "" if value is None else str(value)
 
 
 def build_spans(
-    events: Iterable[EventLike],
+    events: EventSource,
     dropped: int = 0,
     shard: Optional[int] = None,
 ) -> SpanBuildResult:
     """Fold a trace stream into per-query lifecycle spans.
 
     Args:
-        events: Trace events in emit order — :class:`TraceEvent`
-            objects (e.g. ``recorder.events()``) or flattened dicts
-            (e.g. parsed JSONL lines).  A leading ``trace.meta`` header
-            contributes its ``dropped`` count.
+        events: A :class:`~repro.obs.trace.TraceRecorder` (its columns
+            are read directly), or trace events in emit order —
+            :class:`TraceEvent` views or flattened dicts (e.g. parsed
+            JSONL lines).  A leading ``trace.meta`` header contributes
+            its ``dropped`` count.
         dropped: Ring-buffer drop count when the caller knows it
             out-of-band (e.g. from a live :class:`TraceRecorder`).
         shard: Fleet shard label stamped on every span (``None`` —
@@ -409,6 +428,22 @@ def build_spans(
     Returns:
         A :class:`SpanBuildResult`; never raises on malformed input.
     """
+    # The fold allocates about ten objects per span and no reference
+    # cycles, so the cyclic GC is paused for it: the full collections
+    # those allocations would trigger find nothing to free, yet each
+    # re-traverses every retained trace column.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _fold_spans(events, dropped, shard)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _fold_spans(
+    events: EventSource, dropped: int, shard: Optional[int]
+) -> SpanBuildResult:
     open_spans: Dict[int, _OpenSpan] = {}
     spans: List[QuerySpan] = []
     skipped: Dict[str, int] = {category: 0 for category in SKIP_CATEGORIES}
@@ -419,58 +454,57 @@ def build_spans(
     fault_windows: List[Tuple[float, Optional[float], str]] = []
     total_dropped = dropped
 
-    for now, kind, fields in _iter_event_tuples(events):
-        if kind == _trace.QUERY_ADMIT:
-            txn = int(fields["txn"])  # type: ignore[index]
-            if txn in open_spans:
-                skipped[SKIP_DUPLICATE_ADMIT] += 1
-                continue
-            deadline = fields.get("deadline")
-            open_spans[txn] = _OpenSpan(
-                txn,
-                now,
-                float(deadline) if isinstance(deadline, (int, float)) else None,
-            )
-        elif kind == _trace.SCHED_ENQUEUE:
-            txn = int(fields["txn"])  # type: ignore[index]
+    for now, kind, payload in _span_events(events):
+        if kind == _trace.SCHED_ENQUEUE:
+            txn = int(payload[0])  # type: ignore[call-overload]
             span = open_spans.get(txn)
             if span is None:
                 skipped[SKIP_ORPHAN_SCHED] += 1
                 continue
-            cause = fields.get("cause")
-            if cause == _trace.ENQUEUE_PREEMPT:
+            if payload[1] == _trace.ENQUEUE_PREEMPT:
                 span.preemptions += 1
             if span.state == STATE_LOCK_WAIT:
                 span.end_lock_wait(now)
             span.transition(now, STATE_QUEUED)
         elif kind == _trace.SCHED_DISPATCH:
-            txn = int(fields["txn"])  # type: ignore[index]
+            txn = int(payload[0])  # type: ignore[call-overload]
             span = open_spans.get(txn)
             if span is None:
                 skipped[SKIP_ORPHAN_SCHED] += 1
                 continue
             span.transition(now, STATE_EXECUTING)
+        elif kind == _trace.QUERY_ADMIT:
+            txn = int(payload[0])  # type: ignore[call-overload]
+            if txn in open_spans:
+                skipped[SKIP_DUPLICATE_ADMIT] += 1
+                continue
+            deadline = payload[1]
+            open_spans[txn] = _OpenSpan(
+                txn,
+                now,
+                float(deadline) if isinstance(deadline, (int, float)) else None,
+            )
         elif kind == _trace.SCHED_PARK:
-            txn = int(fields["txn"])  # type: ignore[index]
+            txn = int(payload[0])  # type: ignore[call-overload]
             span = open_spans.get(txn)
             if span is None:
                 skipped[SKIP_ORPHAN_SCHED] += 1
                 continue
             span.transition(now, STATE_REFRESH_WAIT)
         elif kind == _trace.LOCK_WAIT:
-            if fields.get("update"):
+            if payload[2]:
                 continue  # update transactions have no spans
-            txn = int(fields["txn"])  # type: ignore[index]
+            txn = int(payload[0])  # type: ignore[call-overload]
             span = open_spans.get(txn)
             if span is None:
                 skipped[SKIP_ORPHAN_LOCK] += 1
                 continue
-            item = fields.get("item")
+            item = payload[1]
             span.transition(now, STATE_LOCK_WAIT)
             if isinstance(item, int):
                 span.begin_lock_wait(now, item)
         elif kind == _trace.LOCK_GRANT:
-            txn = int(fields["txn"])  # type: ignore[index]
+            txn = int(payload[0])  # type: ignore[call-overload]
             span = open_spans.get(txn)
             if span is None:
                 # Updates are granted locks too; only count queries we
@@ -478,11 +512,9 @@ def build_spans(
                 continue
             span.end_lock_wait(now)
         elif kind == _trace.QUERY_OUTCOME:
-            txn = int(fields["txn"])  # type: ignore[index]
-            outcome = str(fields.get("outcome", ""))
-            freshness = fields.get("freshness")
-            arrival = fields.get("arrival")
-            restarts = fields.get("restarts", 0)
+            txn = int(payload[0])  # type: ignore[call-overload]
+            outcome = _text(payload[1])
+            arrival, _latency, freshness, restarts = payload[2:6]
             span = open_spans.pop(txn, None)
             if span is None:
                 if outcome != "rejected":
@@ -547,21 +579,20 @@ def build_spans(
                 )
             )
         elif kind == _trace.ADMISSION_DECISION:
-            if fields.get("admitted") is False:
-                txn = int(fields["txn"])  # type: ignore[index]
-                reason = fields.get("reason")
+            if payload[1] is False:
+                txn = int(payload[0])  # type: ignore[call-overload]
+                reason = payload[2]
                 if isinstance(reason, str) and reason:
                     reject_reasons[txn] = reason
         elif kind == _trace.FAULT_START:
-            label = str(fields.get("label", ""))
-            fault_open[label] = now
+            fault_open[_text(payload[0])] = now
         elif kind == _trace.FAULT_END:
-            label = str(fields.get("label", ""))
+            label = _text(payload[0])
             start = fault_open.pop(label, None)
             if start is not None:
                 fault_windows.append((start, now, label))
         elif kind == _trace.TRACE_META:
-            meta_dropped = fields.get("dropped")
+            meta_dropped = payload[0]
             if isinstance(meta_dropped, int):
                 total_dropped += meta_dropped
 

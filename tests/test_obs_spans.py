@@ -165,6 +165,16 @@ class TestMalformedStreams:
         assert [seg.state for seg in span.segments] == ["queued", "executing"]
         assert span.duration == pytest.approx(0.5)
 
+    def test_missing_enqueue_counts_as_queued(self):
+        # No sched.enqueue at the admission instant: the time up to the
+        # first scheduler event still lands in a segment (no raise).
+        result = build_spans([self.ADMIT, self.RUN, self.DONE])
+        (span,) = result.spans
+        assert [seg.state for seg in span.segments] == ["queued", "executing"]
+        assert fixed_from_float(span.end) - fixed_from_float(span.admit) == sum(
+            fixed_from_float(seg.end) - fixed_from_float(seg.start) for seg in span.segments
+        )
+
     def test_orphan_outcome_skipped_with_count(self):
         result = build_spans([self.DONE])
         assert result.spans == []

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs.metrics import RunMetrics
 from repro.obs.trace import (
     ALL_KINDS,
     NULL_RECORDER,
@@ -107,16 +108,49 @@ class TestTraceRecorder:
         seen = []
 
         class Sink:
-            def observe_event(self, event):
-                seen.append(event.kind)
+            def attach(self, pending):
+                pass
+
+            def fold(self, kind, times, payloads):
+                seen.extend((kind, time, payload) for time, payload in zip(times, payloads))
 
         rec = TraceRecorder(capacity=1, metrics=Sink())
         rec.update_drop(0.0, 1, 1.0)
         rec.update_drop(0.1, 2, 1.0)  # evicts the first from the ring
-        assert seen == ["update.drop", "update.drop"]
+        rec.fold_metrics()  # the fold point: before any metrics reader
+        rec.fold_metrics()  # a second fold finds nothing new
+        assert seen == [("update.drop", 0.0, (1, 1.0)), ("update.drop", 0.1, (2, 1.0))]
+
+    def test_wrapped_and_unwrapped_rings_fold_identical_metrics(self):
+        def feed(rec):
+            for i in range(40):
+                t = i * 0.25
+                rec.query_admit(t, i, t + 2.0, 2)
+                rec.modulation_change(t, i % 7, "degrade" if i % 3 else "upgrade", 1.0, 1.1)
+                rec.query_outcome(t + 0.5, i, "success" if i % 4 else "dmf", t,
+                                  0.5 + i / 100.0, 0.9 - i / 1000.0, i % 3)
+                rec.control_window(t, {"S": 0.5 + i / 50.0}, 0.4 + i / 100.0, i, [],
+                                   1.0, 0.2, i % 5, -0.5)
+                if i == 20:
+                    rec.fold_metrics()  # a mid-run read must not double-count
+
+        wrapped, unwrapped = RunMetrics(), RunMetrics()
+        small = TraceRecorder(capacity=7, metrics=wrapped)
+        feed(small)
+        feed(TraceRecorder(metrics=unwrapped))
+        assert small.dropped > 0
+        assert wrapped.snapshot() == unwrapped.snapshot()
 
     def test_base_recorder_emit_is_noop(self):
         # The Recorder base class is safe to use directly (emit discards).
         rec = Recorder()
         rec.query_admit(0.0, 1, 1.0, 1)
         assert rec.enabled is False
+
+
+def test_obs_config_uses_the_trace_default_capacity():
+    from repro.obs.config import ObsConfig
+    from repro.obs.trace import DEFAULT_CAPACITY
+
+    assert ObsConfig().capacity is DEFAULT_CAPACITY
+    assert DEFAULT_CAPACITY >= 1_048_576  # a whole paper-scale run (~600k events)
