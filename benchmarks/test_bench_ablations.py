@@ -50,25 +50,16 @@ def run_unit(scale, seed, unit_config=None, profile=None, policy_factory=None,
 
 
 class UniformVictimUnit(UnitPolicy):
-    """Ablation: degrade victims drawn uniformly instead of by lottery."""
+    """Ablation: degrade victims drawn uniformly instead of by lottery.
+
+    Only the draw changes: the modulator still applies the stretch cap,
+    escalation, tracing and its degraded-item count.
+    """
 
     def bind(self, server):
         super().bind(server)
-        rng = self._rng
-        items = server.items
-        modulator = self.modulator
-
-        def uniform_degrade(rounds=1):
-            victims = []
-            for _ in range(rounds):
-                victim = rng.randrange(len(items))
-                item = items[victim]
-                if item.current_period < modulator.max_stretch * item.ideal_period:
-                    item.degrade_period(modulator.c_du)
-                    victims.append(victim)
-            return victims
-
-        modulator.degrade = uniform_degrade
+        n_items = len(server.items)
+        self.modulator.sampler = lambda rng: rng.randrange(n_items)
 
 
 def test_bench_ablation_victim_selection(benchmark, bench_scale, bench_seed, publish):

@@ -9,7 +9,11 @@ they guard the simulator's speed.  Two measurements:
   profiles sweep (45 cells) through :func:`run_grid`, where the
   workload cache collapses 45 generations into 3.
 
-Both write their numbers into ``BENCH_perf.json`` at the repo root,
+A third, the UNIT modulation control plane, times the Update
+Frequency Modulation calls alone at paper size (1,024 items): one
+Degrade signal, one ``upgrade_all``, one threshold rebuild.
+
+All write their numbers into ``BENCH_perf.json`` at the repo root,
 keyed by section and ``REPRO_BENCH_SCALE`` (read-modify-write, so smoke
 and small results coexist).  See ``docs/performance.md`` for how to
 read the file.
@@ -18,12 +22,16 @@ read the file.
 import json
 import os
 import platform
+import random
 import time
 from pathlib import Path
 
 import pytest
 
+from repro.core.modulation import UpdateFrequencyModulator
+from repro.core.tickets import TicketBook
 from repro.core.usm import TABLE2_PROFILES, PenaltyProfile
+from repro.db.items import DataItem, ItemTable
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.experiments.sweep import run_grid
@@ -357,3 +365,94 @@ def test_bench_traced_ratchet_against_committed_floor(bench_scale, bench_seed):
         },
     )
     _check_floor("tracing-on single-run", measured, floor)
+
+
+#: Paper-size item count and the Degrade rounds UNIT uses there
+#: (``max(16, n_items // 2)``, see ``UnitPolicy.bind``).
+CONTROL_ITEMS = 1024
+CONTROL_ROUNDS = CONTROL_ITEMS // 2
+
+
+def _seeded_tickets(seed: int) -> tuple:
+    """Ideal periods and a ticket book moved by a fixed seeded stream of
+    update executions (tickets up) and query accesses (tickets down)."""
+    rng = random.Random(seed)
+    ideals = [rng.uniform(1.0, 20.0) for _ in range(CONTROL_ITEMS)]
+    tickets = TicketBook(CONTROL_ITEMS)
+    for _ in range(20 * CONTROL_ITEMS):
+        item = rng.randrange(CONTROL_ITEMS)
+        if rng.random() < 0.6:
+            tickets.on_update(item, rng.uniform(0.005, 0.05))
+        else:
+            tickets.on_query_access(item, rng.uniform(0.0, 0.5))
+    return ideals, tickets
+
+
+def _modulator(ideals, periods, tickets, seed: int) -> UpdateFrequencyModulator:
+    items = ItemTable(
+        [
+            DataItem(item_id=i, ideal_period=ideal, update_exec_time=0.01,
+                     current_period=period)
+            for i, (ideal, period) in enumerate(zip(ideals, periods))
+        ]
+    )
+    return UpdateFrequencyModulator(items, tickets, random.Random(seed))
+
+
+def test_bench_modulation_control_plane(bench_seed):
+    """µs per Degrade signal, per ``upgrade_all`` and per threshold
+    rebuild, best of 30, from a fixed seeded ticket state.
+
+    Each round rebuilds the items (and the RNG) outside the timed
+    region, so every timed call sees the same state: Degrade starts at
+    the ideal periods, ``upgrade_all`` at the periods four signals left.
+    The escalation threshold stays at 0, so neither call rebuilds the
+    lottery; a rebuild is timed as half a lower/raise round trip.
+    Under ``REPRO_BENCH_RATCHET=1`` each number must stay within 10% of
+    the committed ``modulation.<scale>`` value.
+    """
+    ideals, tickets = _seeded_tickets(bench_seed)
+    warm = _modulator(ideals, ideals, tickets, bench_seed)
+    for _ in range(4):
+        warm.degrade(CONTROL_ROUNDS)
+    degraded = [item.current_period for item in warm.items.rows]
+
+    best = {"degrade_us": float("inf"), "upgrade_all_us": float("inf"),
+            "rebuild_us": float("inf")}
+    victims = changed = 0
+    for _ in range(30):
+        modulator = _modulator(ideals, ideals, tickets, bench_seed)
+        started = time.perf_counter()
+        victims = len(modulator.degrade(CONTROL_ROUNDS))
+        best["degrade_us"] = min(best["degrade_us"], time.perf_counter() - started)
+
+        modulator = _modulator(ideals, degraded, tickets, bench_seed)
+        started = time.perf_counter()
+        changed = len(modulator.upgrade_all())
+        best["upgrade_all_us"] = min(best["upgrade_all_us"], time.perf_counter() - started)
+
+        started = time.perf_counter()
+        tickets.lower_threshold(0.5)
+        tickets.raise_threshold(0.5)
+        best["rebuild_us"] = min(best["rebuild_us"], (time.perf_counter() - started) / 2)
+    measured = {key: round(value * 1e6, 1) for key, value in best.items()}
+    _record(
+        "modulation",
+        {"seed": bench_seed, "items": CONTROL_ITEMS, "rounds": CONTROL_ROUNDS,
+         "victims": victims, "upgraded": changed, **measured},
+    )
+    assert victims == CONTROL_ROUNDS  # no pick exhausted: the full signal is timed
+    assert changed > CONTROL_ITEMS // 2
+    assert tickets.threshold == 0.0
+
+    if os.environ.get("REPRO_BENCH_RATCHET") != "1":
+        return
+    committed = _COMMITTED.get("modulation", {}).get(_scale_name(), {})
+    if not committed:
+        pytest.skip(f"no committed modulation numbers for scale {_scale_name()!r}")
+    for key, value in measured.items():
+        ceiling = committed[key] * (1.0 + RATCHET_SLACK)
+        assert value <= ceiling, (
+            f"modulation {key} {value:.1f} µs rose more than {RATCHET_SLACK:.0%} "
+            f"above the committed {committed[key]:.1f} µs (scale {_scale_name()!r})"
+        )

@@ -9,8 +9,11 @@ prefix-descent sampling are both O(log n).
 
 from __future__ import annotations
 
+import math
 import random
-from typing import List, Optional
+from itertools import repeat
+from operator import add, lt
+from typing import Iterable, List, Optional
 
 
 class LotteryScheduler:
@@ -23,14 +26,18 @@ class LotteryScheduler:
         if n <= 0:
             raise ValueError("n must be positive")
         self._n = n
-        self._tree = [0.0] * (n + 1)  # 1-based Fenwick tree
-        self._weights = [0.0] * n
-        # Highest power of two <= n: the Fenwick descent's starting
-        # stride, fixed for the tree's lifetime.
+        # The Fenwick descent's strides: powers of two from the highest
+        # one <= n down to 1, fixed for the tree's lifetime.
         bit = 1
         while bit << 1 <= n:
             bit <<= 1
-        self._top_bit = bit
+        self._strides = tuple(1 << k for k in reversed(range(bit.bit_length())))
+        # The descent can probe nodes up to ``2 * bit - 1``; the ones
+        # past ``n`` hold +inf, which never compares below the remaining
+        # mass, so the descent skips them without a bounds check.
+        self._padding = 2 * bit - 1 - n
+        self._tree = self._padded([0.0] * (n + 1))  # 1-based Fenwick tree
+        self._weights = [0.0] * n
         # Cached total with a dirty flag: consecutive samples between
         # weight mutations (the degrade loop's resampling) skip the
         # descent resummation.  The cache is always refreshed by the
@@ -113,14 +120,12 @@ class LotteryScheduler:
         target = rng.random() * total
 
         position = 0
-        bit = self._top_bit
         remaining = target
-        while bit:
+        for bit in self._strides:
             nxt = position + bit
-            if nxt <= n and tree[nxt] < remaining:
+            if tree[nxt] < remaining:
                 remaining -= tree[nxt]
                 position = nxt
-            bit >>= 1
         index = position  # position is the count of slots strictly before
         if index >= n:
             index = n - 1
@@ -133,17 +138,46 @@ class LotteryScheduler:
         return index
 
     def rebuild(self, weights: List[float]) -> None:
-        """Replace all weights at once in O(n)."""
-        if len(weights) != self._n:
+        """Replace all weights at once.
+
+        Builds the tree level by level instead of by ``n`` point
+        updates, bit-identical to them: a point update leaves node ``p``
+        (covering slots ``p - low + 1 .. p``, ``low = p & -p``) holding
+        its slots added left to right onto ``0.0``.  The left half of
+        that run is node ``p - low/2``, so node ``p`` is that node plus
+        the right half's slots, added one at a time in index order.
+        Within a level, nodes are summed together column-wise while
+        they outnumber their right-half slots.
+        """
+        n = self._n
+        if len(weights) != n:
             raise ValueError("weight vector length mismatch")
-        if any(weight < 0 for weight in weights):
+        if any(map(lt, weights, repeat(0))):
             raise ValueError("weights must be non-negative")
         self._weights = list(weights)
         self._total_dirty = True
-        self._tree = [0.0] * (self._n + 1)
-        for index, weight in enumerate(weights):
-            if weight:
-                position = index + 1
-                while position <= self._n:
-                    self._tree[position] += weight
-                    position += position & (-position)
+        tree = [0.0] * (n + 1)
+        tree[1::2] = [0.0 + weight for weight in weights[::2]]  # ``0.0 +`` maps -0.0 to 0.0
+        low = 2
+        while low <= n:
+            half = low >> 1
+            step = low << 1
+            count = (n - low) // step + 1  # nodes p = low, low + step, ... <= n
+            if half <= count:
+                column: Iterable[float] = tree[half:half + count * step:step]
+                for offset in range(half, low):
+                    column = map(add, column, weights[offset::step])
+                tree[low::step] = column
+            else:
+                for position in range(low, n + 1, step):
+                    total = tree[position - half]
+                    for weight in weights[position - half:position]:
+                        total += weight
+                    tree[position] = total
+            low = step
+        self._tree = self._padded(tree)
+
+    def _padded(self, tree: List[float]) -> List[float]:
+        """``tree`` (nodes ``0..n``) extended with the +inf probe nodes."""
+        tree.extend(repeat(math.inf, self._padding))
+        return tree

@@ -15,7 +15,7 @@ shorter horizon; ``rounds=1`` recovers the paper's literal behaviour.
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.core.tickets import TicketBook
 from repro.db.items import ItemTable
@@ -25,6 +25,10 @@ from repro.sim.engine import Simulator
 DEFAULT_C_DU = 0.1  # period stretch per degrade (Eq. 9)
 DEFAULT_C_UU = 0.5  # period shrink per upgrade (Eq. 10)
 DEFAULT_MAX_STRETCH = 100.0  # cap on pc_j / pi_j (bounds staleness)
+CAP_ATTEMPTS = 8  # draws per degrade pick before it counts as exhausted
+
+#: One ``modulation.change`` payload: item, direction, old and new period.
+ModulationPayload = Tuple[int, str, float, float]
 
 
 class UpdateFrequencyModulator:
@@ -64,6 +68,12 @@ class UpdateFrequencyModulator:
         self._rng = rng
         self.degrade_events = 0
         self.upgrade_events = 0
+        self._degraded = len(
+            [1 for item in items.rows if item.current_period > item.ideal_period]
+        )
+        # The per-draw victim sampler; None draws by ticket lottery
+        # (``LotteryScheduler.sample``).  Ablations substitute another.
+        self.sampler: Optional[Callable[[random.Random], Optional[int]]] = None
         # Observability: the modulator has no clock, so the recorder is
         # paired with the simulator whose virtual time stamps the
         # modulation.change events.  Disabled by default.
@@ -79,90 +89,111 @@ class UpdateFrequencyModulator:
         """Handle a Degrade Update signal: ``rounds`` lottery picks,
         each stretching its victim's period by ``(1 + C_du)``.
 
-        An item already at the stretch cap is resampled (a pick spent
-        on it could not shed any more load); returns the victim item
-        ids (may repeat; empty when no item has positive lottery
-        weight yet).
+        An item already at the stretch cap is resampled, up to
+        ``CAP_ATTEMPTS`` draws per pick (a pick spent on it could not
+        shed any more load); returns the victim item ids (may repeat;
+        empty when no item has positive lottery weight yet).
+
+        One loop per signal: the draw, the cap check and the Eq. 9
+        stretch are inline, and a traced run records the signal's
+        ``modulation.change`` events in one batch.
         """
         if rounds <= 0:
             raise ValueError("rounds must be positive")
+        tickets = self.tickets
+        sample = self.sampler or tickets.lottery.sample
+        rng = self._rng
+        rows = self.items.rows
+        grow = 1.0 + self.c_du
+        max_stretch = self.max_stretch
+        obs = self._obs
+        sim = self._obs_sim
+        changes: Optional[List[ModulationPayload]] = (
+            [] if obs.enabled and sim is not None else None
+        )
         victims: List[int] = []
+        newly_degraded = 0
         escalated = False
-        for _ in range(rounds):
-            victim = self._sample_below_cap()
+        while len(victims) < rounds:
+            for _ in range(CAP_ATTEMPTS):
+                victim = sample(rng)
+                if victim is None:
+                    break
+                item = rows[victim]
+                before = item.current_period
+                ideal = item.ideal_period
+                if before < max_stretch * ideal:
+                    break
+            else:
+                victim = None
             if victim is None:
                 # Everything above the ticket threshold is already fully
                 # degraded (or nothing is above it) yet the controller
                 # still wants to shed — escalate by walking the
-                # threshold down into more protected items.  At most one
-                # escalation step per signal, so sustained overload is
-                # needed to reach well-protected items.
+                # threshold down into more protected items, then redraw
+                # this pick.  At most one escalation step per signal, so
+                # sustained overload is needed to reach well-protected
+                # items.
                 if escalated or not self.escalate:
                     break
-                if self.tickets.threshold - self.threshold_step < self.escalation_floor:
+                threshold = tickets.threshold
+                if threshold - self.threshold_step < self.escalation_floor:
                     break  # never expose heavily-queried items
                 escalated = True
-                before = self.tickets.threshold
-                if self.tickets.lower_threshold(self.threshold_step) >= before:
+                if tickets.lower_threshold(self.threshold_step) >= threshold:
                     break  # already at the minimum ticket: nothing left
-                victim = self._sample_below_cap()
-                if victim is None:
-                    break
-            item = self.items.rows[victim]
-            before_period = item.current_period
-            item.degrade_period(self.c_du)
+                continue
+            after = before * grow
+            item.current_period = after
             victims.append(victim)
-            obs = self._obs
-            if obs.enabled and self._obs_sim is not None:
-                obs.modulation_change(
-                    self._obs_sim.now,
-                    victim,
-                    "degrade",
-                    before_period,
-                    item.current_period,
-                )
+            if before <= ideal < after:
+                newly_degraded += 1
+            if changes is not None:
+                changes.append((victim, "degrade", before, after))
+        self._degraded += newly_degraded
+        if changes:
+            assert sim is not None
+            obs.modulation_changes(sim.now, changes)
         if victims:
             self.degrade_events += 1
         return victims
-
-    def _sample_below_cap(self, attempts: int = 8) -> Optional[int]:
-        sample = self.tickets.sample_victim
-        rng = self._rng
-        items = self.items.rows
-        max_stretch = self.max_stretch
-        for _ in range(attempts):
-            victim = sample(rng)
-            if victim is None:
-                return None
-            item = items[victim]
-            if item.current_period < max_stretch * item.ideal_period:
-                return victim
-        return None
 
     def upgrade_all(self) -> List[int]:
         """Handle an Upgrade Update signal: shrink the period of every
         degraded item toward its ideal period (Eq. 10) and relax the
         escalation threshold back toward zero.
 
-        Returns the ids of items whose period changed.
+        Returns the ids of items whose period changed.  The pass also
+        recounts the degraded items.
         """
         self.relax_threshold()
-        changed: List[int] = []
+        shrink = self.c_uu
         obs = self._obs
-        degraded = [item for item in self.items.rows if item.current_period > item.ideal_period]
-        for item in degraded:
+        sim = self._obs_sim
+        changes: Optional[List[ModulationPayload]] = (
+            [] if obs.enabled and sim is not None else None
+        )
+        changed: List[int] = []
+        still_degraded = 0
+        for item in self.items.rows:
             before = item.current_period
-            item.upgrade_period(self.c_uu)
-            if item.current_period != before:
-                changed.append(item.item_id)
-                if obs.enabled and self._obs_sim is not None:
-                    obs.modulation_change(
-                        self._obs_sim.now,
-                        item.item_id,
-                        "upgrade",
-                        before,
-                        item.current_period,
-                    )
+            ideal = item.ideal_period
+            if before > ideal:
+                # ``max(ideal, after)``: the floor unless ``after`` is larger.
+                after = before - shrink * ideal
+                if after > ideal:
+                    still_degraded += 1
+                else:
+                    after = ideal
+                item.current_period = after
+                if after != before:
+                    changed.append(item.item_id)
+                    if changes is not None:
+                        changes.append((item.item_id, "upgrade", before, after))
+        self._degraded = still_degraded
+        if changes:
+            assert sim is not None
+            obs.modulation_changes(sim.now, changes)
         if changed:
             self.upgrade_events += 1
         return changed
@@ -180,13 +211,10 @@ class UpdateFrequencyModulator:
     def degraded_count(self) -> int:
         """Number of items currently held above their ideal period.
 
-        Scans the table rather than keeping a set, since callers (the
-        ablation benchmarks) may change periods behind the modulator's
-        back; the attribute compare skips ``is_degraded``'s call cost.
+        O(1): kept by :meth:`degrade` and recounted by
+        :meth:`upgrade_all`, which together make every period change.
         """
-        return len(
-            [1 for item in self.items.rows if item.current_period > item.ideal_period]
-        )
+        return self._degraded
 
     def victim_distribution(self) -> Optional[List[float]]:
         """Current lottery weights normalized to probabilities (for

@@ -154,13 +154,23 @@ class TicketBook:
         return self._threshold
 
     def _rebuild_weights(self) -> None:
+        # Compare branch instead of ``max(0.0, t - tau)``, as in
+        # ``_set_ticket``: it picks the same float (0.0 unless the
+        # difference is positive, so -0.0 and NaN map to 0.0 as well).
+        tau = self._threshold
         self._lottery.rebuild(
-            [max(0.0, t - self._threshold) for t in self._tickets]
+            [weight if (weight := t - tau) > 0.0 else 0.0 for t in self._tickets]
         )
 
     # ------------------------------------------------------------------
     # sampling
     # ------------------------------------------------------------------
+
+    @property
+    def lottery(self) -> LotteryScheduler:
+        """The lottery over the shifted tickets (the modulator's degrade
+        loop draws from it directly)."""
+        return self._lottery
 
     def sample_victim(self, rng: random.Random) -> Optional[int]:
         """Lottery pick: item id drawn ∝ shifted ticket value.

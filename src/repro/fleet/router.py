@@ -205,6 +205,7 @@ def route_queries(
                     pos = bisect_left(bucket, item)
                     if pos == len(bucket) or bucket[pos] != item:
                         insort(bucket, item)
+        estimate: Optional[float] = None
         if len(candidates) == 1:
             shard = candidates[0]
         elif policy == "primary":
@@ -215,16 +216,20 @@ def route_queries(
         elif policy == "least-loaded":
             shard = min(candidates, key=lambda s: (tracker.load(s, now), s))
         else:  # freshness
-            fresh_enough = [
-                s
-                for s in candidates
-                if estimator.freshness(query.items, s, primary, now)
-                >= query.freshness_req
-            ]
+            # The estimate is pure in (items, shard, now): keep each
+            # candidate's, so the chosen shard's is not computed twice.
+            estimates: Dict[int, float] = {}
+            fresh_enough: List[int] = []
+            for s in candidates:
+                estimates[s] = fresh = estimator.freshness(query.items, s, primary, now)
+                if fresh >= query.freshness_req:
+                    fresh_enough.append(s)
             pool = fresh_enough or [primary[query.items[0]]]
             shard = min(pool, key=lambda s: (tracker.load(s, now), s))
+            estimate = estimates.get(shard)  # None: a non-candidate primary
 
-        estimate = estimator.freshness(query.items, shard, primary, now)
+        if estimate is None:
+            estimate = estimator.freshness(query.items, shard, primary, now)
         tracker.add(shard, now, query.exec_time)
         assignments.append(shard)
         forced_flags.append(forced)

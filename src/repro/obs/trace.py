@@ -54,7 +54,7 @@ Event kinds (the ``kind`` field of every event):
 from __future__ import annotations
 
 from collections import deque
-from itertools import compress, islice
+from itertools import compress, islice, repeat
 from operator import itemgetter
 from typing import (
     Callable, Container, Deque, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence,
@@ -240,6 +240,11 @@ class Recorder:
     def _put(self, time: float, kind: str, payload: Payload) -> None:
         """Store one event (no-op here and on the null recorder)."""
 
+    def _put_many(self, time: float, kind: str, payloads: Sequence[Payload]) -> None:
+        """Store several same-kind events stamped ``time``, in order."""
+        for payload in payloads:
+            self._put(time, kind, payload)
+
     # -- generic hook ---------------------------------------------------
 
     def emit(self, time: float, kind: str, fields: Mapping[str, object]) -> None:
@@ -309,6 +314,15 @@ class Recorder:
         self, time: float, item_id: int, direction: str, old_period: float, new_period: float
     ) -> None:
         self._put(time, MODULATION_CHANGE, (item_id, direction, old_period, new_period))
+
+    def modulation_changes(
+        self, time: float, payloads: Sequence[Tuple[int, str, float, float]]
+    ) -> None:
+        """One control signal's ``modulation.change`` events, all at
+        ``time``: ``(item_id, direction, old_period, new_period)`` each,
+        in emit order.  Equivalent to one :meth:`modulation_change` per
+        payload."""
+        self._put_many(time, MODULATION_CHANGE, payloads)
 
     def control_allocate(
         self,
@@ -477,6 +491,23 @@ class TraceRecorder(Recorder):
             times, payloads = self._columns.setdefault(kind, (deque(), deque()))
         times.append(time)
         payloads.append(payload)
+
+    def _put_many(self, time: float, kind: str, payloads: Sequence[Payload]) -> None:
+        count = len(payloads)
+        if not count:
+            return  # an empty batch must not open an empty kind column
+        order = self._order
+        if len(order) + count > self._capacity:
+            # The batch would wrap the ring: evict event by event.
+            super()._put_many(time, kind, payloads)
+            return
+        order.extend(repeat(kind, count))
+        try:
+            times, column = self._columns[kind]
+        except KeyError:
+            times, column = self._columns.setdefault(kind, (deque(), deque()))
+        times.extend(repeat(time, count))
+        column.extend(payloads)
 
     def _evict(self) -> None:
         kind = self._order.popleft()

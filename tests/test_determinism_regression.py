@@ -12,8 +12,9 @@ import json
 
 from repro.experiments.config import SCALES, ExperimentConfig
 from repro.experiments.figures import figure4, render_figure4
-from repro.experiments.report import stable_report_bytes
+from repro.experiments.report import stable_report_bytes, stable_report_digest
 from repro.experiments.runner import run_experiment
+from repro.fleet import FleetConfig, run_fleet
 
 SMOKE = SCALES["smoke"]
 
@@ -62,4 +63,33 @@ class TestFigure4Determinism:
         # The rendered stats output is byte-identical too.
         assert render_figure4(first).encode("utf-8") == render_figure4(second).encode(
             "utf-8"
+        )
+
+
+class TestSmallScalePins:
+    """Report digests pinned at small scale, where the UNIT control plane
+    does real work: on the UNIT run, 38 lottery rebuilds and 201 Degrade
+    signals cut short by an exhausted pick, against 10 and 22 at smoke.
+    The constants were computed before the one-pass modulation rewrite;
+    a change to them means simulated behaviour moved."""
+
+    SMALL = SCALES["small"]
+
+    def _config(self):
+        return ExperimentConfig(
+            policy="unit", update_trace="med-unif", seed=7, scale=self.SMALL
+        )
+
+    def test_unit_small_digest(self):
+        assert stable_report_digest(run_experiment(self._config())) == (
+            "b2f5494e5ec0cd4b16d6b52bef7a2e9c0db375a4d610cefdfe9442308c6f3c28"
+        )
+
+    def test_fleet_small_digest(self):
+        fleet = run_fleet(
+            FleetConfig(base=self._config(), n_shards=2, replication=2,
+                        router_policy="freshness", coordinate=True, workers=0)
+        )
+        assert fleet.digest == (
+            "c67ad2983c5d1fc0515cd9f0c4aa3ec8ed62fe12929f4022fa9ca5903b0fd44f"
         )
