@@ -5,6 +5,8 @@ they guard the simulator's speed.  Two measurements:
 
 * single-run events/sec — one UNIT run with a pre-warmed workload
   cache, so the number reflects simulation speed, not trace generation;
+  the IMU, ODU and QMF runs alongside time the server state machine
+  without UNIT's control plane;
 * paired-grid wall-clock — the full 5 policies × 3 traces × 3 penalty
   profiles sweep (45 cells) through :func:`run_grid`, where the
   workload cache collapses 45 generations into 3.
@@ -280,8 +282,9 @@ def test_bench_paired_grid_wall_clock(benchmark, bench_scale, bench_seed):
     assert len(submitted) == 1
 
 
-def _best_events_per_sec(config: ExperimentConfig) -> float:
-    """Best-of-5 events/s of one config (warm cache, one warmup run)."""
+def _best_run(config: ExperimentConfig) -> tuple:
+    """(events, best-of-5 seconds) of one config (warm cache, one
+    warmup run)."""
     default_cache().warm([config])
     run_experiment(config)  # warmup
     best = float("inf")
@@ -291,6 +294,12 @@ def _best_events_per_sec(config: ExperimentConfig) -> float:
         report = run_experiment(config)
         best = min(best, time.perf_counter() - started)
         events = report.events_fired
+    return events, best
+
+
+def _best_events_per_sec(config: ExperimentConfig) -> float:
+    """Best-of-5 events/s of one config (warm cache, one warmup run)."""
+    events, best = _best_run(config)
     return events / best
 
 
@@ -365,6 +374,45 @@ def test_bench_traced_ratchet_against_committed_floor(bench_scale, bench_seed):
         },
     )
     _check_floor("tracing-on single-run", measured, floor)
+
+
+BASELINE_POLICIES = ("imu", "odu", "qmf")
+
+
+def test_bench_single_run_baselines(bench_scale, bench_seed):
+    """Single-run events/s of the baseline policies, best of 5 each.
+
+    IMU, ODU and QMF never run UNIT's control plane, so their runs time
+    the engine, the server state machine, the ready queue and 2PL-HP
+    alone.  Recorded as ``single_run_baselines.<scale>``; under
+    ``REPRO_BENCH_RATCHET=1`` each policy must stay within 10% of its
+    committed events/s.
+    """
+    measured = {}
+    for policy in BASELINE_POLICIES:
+        config = ExperimentConfig(
+            policy=policy, update_trace="med-unif", seed=bench_seed, scale=bench_scale
+        )
+        events, best = _best_run(config)
+        assert events > 0
+        measured[policy] = {
+            "events": events,
+            "best_seconds": round(best, 4),
+            "events_per_sec": round(events / best, 1),
+        }
+    _record("single_run_baselines", {"seed": bench_seed, **measured})
+
+    if os.environ.get("REPRO_BENCH_RATCHET") != "1":
+        return
+    committed = _COMMITTED.get("single_run_baselines", {}).get(_scale_name(), {})
+    if not committed:
+        pytest.skip(f"no committed baseline-policy floors for scale {_scale_name()!r}")
+    for policy in BASELINE_POLICIES:
+        _check_floor(
+            f"{policy} single-run",
+            measured[policy]["events_per_sec"],
+            committed[policy]["events_per_sec"],
+        )
 
 
 #: Paper-size item count and the Degrade rounds UNIT uses there

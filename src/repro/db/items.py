@@ -113,10 +113,6 @@ class DataItem:
             self.first_pending_time = None
         self.updates_executed += 1
 
-    def record_query_access(self) -> None:
-        """Count one query touching this item (for Figure 3 analysis)."""
-        self.query_accesses += 1
-
     def degrade_period(self, factor: float) -> float:
         """Stretch ``pc_j`` by ``(1 + factor)`` (paper Eq. 9).  Returns the new period."""
         if factor <= 0:

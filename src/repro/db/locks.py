@@ -254,17 +254,25 @@ class LockManager:
             priority order.  The server resumes their lock-acquisition
             progress.
         """
-        self.cancel_wait(txn)
+        txn_id = txn.txn_id
+        # Every commit and abort comes through here, and at paper scale
+        # almost none of them waits or releases a lock anyone waits
+        # for: skip the wait cancel and the promotion pass when there
+        # is nothing to do (both are no-ops then).
+        if txn_id in self._waiting_on:
+            self.cancel_wait(txn)
         granted: List[Transaction] = []
-        item_ids = self._held_by.pop(txn.txn_id, None)
+        item_ids = self._held_by.pop(txn_id, None)
         if item_ids is None:
             return granted
+        locks = self._locks
         for item_id in item_ids:
-            lock = self._locks.get(item_id)
+            lock = locks.get(item_id)
             if lock is None:
                 continue
-            lock.holders.pop(txn.txn_id, None)
-            granted.extend(self._promote_waiters(lock, item_id))
+            lock.holders.pop(txn_id, None)
+            if lock.waiters:
+                granted.extend(self._promote_waiters(lock, item_id))
         return granted
 
     def cancel_wait(self, txn: Transaction) -> None:

@@ -63,6 +63,25 @@ ARRIVAL_EVENT_PRIORITY = -1
 COMPLETION_EVENT_PRIORITY = 0
 CONTROL_EVENT_PRIORITY = 1
 
+# Enum members the state machine reads on every query, bound once:
+# loading a member off an Enum class goes through the Enum metaclass's
+# attribute hook and costs several times a module-global load on
+# CPython 3.11, and a query's lifecycle reads about a dozen of them.
+_PENDING = TransactionState.PENDING
+_READY = TransactionState.READY
+_RUNNING = TransactionState.RUNNING
+_BLOCKED = TransactionState.BLOCKED
+_COMMITTED = TransactionState.COMMITTED
+_ABORTED = TransactionState.ABORTED
+_SUCCESS = Outcome.SUCCESS
+_REJECTED = Outcome.REJECTED
+_DEADLINE_MISS = Outcome.DEADLINE_MISS
+_DATA_STALE = Outcome.DATA_STALE
+_READ = LockMode.READ
+_WRITE = LockMode.WRITE
+_LOCK_GRANTED = LockStatus.GRANTED
+_LOCK_BLOCKED = LockStatus.BLOCKED
+
 
 @dataclasses.dataclass
 class ServerConfig:
@@ -186,16 +205,16 @@ class Server:
 
     def submit_query(self, query: QueryTransaction) -> None:
         """A user query arrives: admission control, then enqueue."""
-        if query.state is not TransactionState.PENDING:
+        if query.state is not _PENDING:
             raise ValueError(f"query {query.txn_id} was already submitted")
         self.queries_submitted += 1
         rows = self._item_rows
         for item_id in query.items:
-            rows[item_id].record_query_access()
+            rows[item_id].query_accesses += 1  # Figure 3 access counter
 
         if not self.policy.admit_query(query, self):
-            query.state = TransactionState.ABORTED
-            self._finalize_query(query, Outcome.REJECTED, freshness=None)
+            query.state = _ABORTED
+            self._finalize_query(query, _REJECTED, freshness=None)
             return
 
         emit = self._emit_admit
@@ -209,17 +228,23 @@ class Server:
         )
 
         if self._query_refreshes.get(query.txn_id):
-            query.state = TransactionState.BLOCKED
+            query.state = _BLOCKED
             self._blocked[query.txn_id] = query
             emit = self._emit_park
             if emit is not None:
                 emit(self.sim.now, query.txn_id)
         else:
-            query.state = TransactionState.READY
-            self.ready.push(query)
+            query.state = _READY
             emit = self._emit_enqueue
             if emit is not None:
                 emit(self.sim.now, query.txn_id, ENQUEUE_ADMIT)
+            if self._running is None and not self.ready:
+                # Idle CPU, empty queue: _dispatch would push, peek and
+                # pop this very query, so start it directly (the trace
+                # still shows it enter the queue and leave at once).
+                self._try_start(query)
+            else:
+                self.ready.push(query)
         self._dispatch()
 
     def source_update_arrival(self, item_id: int) -> None:
@@ -317,7 +342,7 @@ class Server:
             period=item.current_period,
             on_demand=on_demand,
         )
-        update.state = TransactionState.READY
+        update.state = _READY
         self.updates_enqueued += 1
         self.ready.push(update)
         return update
@@ -430,36 +455,43 @@ class Server:
             # transaction that outranks whatever is now on the CPU.
             self._try_start(candidate)
 
-    def _try_start(self, txn: Transaction) -> bool:
-        """Acquire ``txn``'s locks and put it on the CPU.
+    def _try_start(self, txn: Transaction) -> None:
+        """Acquire ``txn``'s locks and put it on the CPU, unless it
+        blocks on a lock or parks for on-demand refreshes (the caller
+        then tries the next candidate)."""
+        if not txn.is_update and self._park_for_refresh(txn):
+            return
+        if self._acquire_locks(txn):
+            self._run(txn)
 
-        Returns False if the transaction blocked on a lock or is waiting
-        for on-demand refreshes (the caller then tries the next
-        candidate)."""
+    def _acquire_locks(self, txn: Transaction) -> bool:
+        """Request every lock ``txn`` needs and does not hold yet.
+
+        2PL-HP conflicts abort the lower-priority holders and retry the
+        request.  Returns False when a request must wait: ``txn`` is
+        then BLOCKED and the lock manager hands it the lock later
+        (see :meth:`_continue_acquisition`)."""
         if txn.is_update:
             needed: Sequence[int] = (txn.item_id,)
-            mode = LockMode.WRITE
+            mode = _WRITE
         else:
-            if self._park_for_refresh(txn):
-                return False
             needed = txn.items
-            mode = LockMode.READ
-
+            mode = _READ
+        locks = self.locks
         for item_id in needed:
-            if self.locks.holds(txn, item_id):
+            if locks.holds(txn, item_id):
                 continue
             while True:
-                result = self.locks.request(txn, item_id, mode)
-                if result.status is LockStatus.GRANTED:
+                result = locks.request(txn, item_id, mode)
+                status = result.status
+                if status is _LOCK_GRANTED:
                     break
-                if result.status is LockStatus.BLOCKED:
-                    txn.state = TransactionState.BLOCKED
+                if status is _LOCK_BLOCKED:
+                    txn.state = _BLOCKED
                     self._blocked[txn.txn_id] = txn
                     return False
                 for victim in result.victims:
                     self._abort_restart(victim)
-
-        self._run(txn)
         return True
 
     def _park_for_refresh(self, query: QueryTransaction) -> bool:
@@ -470,7 +502,7 @@ class Server:
         # start attempt and the generator frame costs more than the walk.
         rows = self._item_rows
         for item_id in query.items:
-            if rows[item_id].udrop > 0:
+            if rows[item_id].pending_drops > 0:  # Udrop_j, read directly
                 break
         else:
             return False
@@ -478,7 +510,7 @@ class Server:
             return False
         if not self._query_refreshes.get(query.txn_id):
             return False  # policy asked to wait but spawned nothing
-        query.state = TransactionState.BLOCKED
+        query.state = _BLOCKED
         self._blocked[query.txn_id] = query
         # A parked query must not sit on read locks: the refresh needs a
         # write lock on the very items it is waiting on.
@@ -493,31 +525,10 @@ class Server:
     def _continue_acquisition(self, txn: Transaction) -> None:
         """A blocked transaction was granted a lock: try to finish its
         lock set and, if complete, return it to the ready queue."""
-        if txn.is_finished:
+        if txn.is_finished or not self._acquire_locks(txn):
             return
-        if txn.is_update:
-            needed = [txn.item_id]
-            mode = LockMode.WRITE
-        else:
-            needed = list(txn.items)
-            mode = LockMode.READ
-
-        for item_id in needed:
-            if self.locks.holds(txn, item_id):
-                continue
-            while True:
-                result = self.locks.request(txn, item_id, mode)
-                if result.status is LockStatus.GRANTED:
-                    break
-                if result.status is LockStatus.BLOCKED:
-                    txn.state = TransactionState.BLOCKED
-                    self._blocked[txn.txn_id] = txn
-                    return
-                for victim in result.victims:
-                    self._abort_restart(victim)
-
         self._blocked.pop(txn.txn_id, None)
-        txn.state = TransactionState.READY
+        txn.state = _READY
         self.ready.push(txn)
         if not txn.is_update:
             emit = self._emit_enqueue
@@ -526,7 +537,7 @@ class Server:
 
     def _run(self, txn: Transaction) -> None:
         now = self.sim.now
-        txn.state = TransactionState.RUNNING
+        txn.state = _RUNNING
         txn.run_started_at = now
         if not txn.is_update:
             emit = self._emit_dispatch
@@ -570,7 +581,7 @@ class Server:
         remaining = txn.remaining - elapsed * self._service_rate
         txn.remaining = 0.0 if remaining <= 0.0 else remaining
         txn.run_started_at = None
-        txn.state = TransactionState.READY
+        txn.state = _READY
         self._running = None
         self.ready.push(txn)
         if not txn.is_update:
@@ -595,7 +606,7 @@ class Server:
         self._credit_busy(txn, elapsed)
         txn.remaining = 0.0
         txn.run_started_at = None
-        txn.state = TransactionState.COMMITTED
+        txn.state = _COMMITTED
         self._running = None
         self._completion_token = None
 
@@ -631,9 +642,9 @@ class Server:
             query = self._live_queries.get(query_id)
             if query is None or query.is_finished:
                 continue
-            if not pending and query.state is TransactionState.BLOCKED:
+            if not pending and query.state is _BLOCKED:
                 self._blocked.pop(query_id, None)
-                query.state = TransactionState.READY
+                query.state = _READY
                 self.ready.push(query)
                 emit = self._emit_enqueue
                 if emit is not None:
@@ -651,9 +662,9 @@ class Server:
                 self.config.freshness_metric,
             )
         if freshness + 1e-12 >= query.freshness_req:
-            outcome = Outcome.SUCCESS
+            outcome = _SUCCESS
         else:
-            outcome = Outcome.DATA_STALE
+            outcome = _DATA_STALE
         self._finalize_query(query, outcome, freshness)
 
     def _deadline_abort(self, query: QueryTransaction) -> None:
@@ -661,9 +672,9 @@ class Server:
         if query.is_finished:
             return
         self._detach(query)
-        query.state = TransactionState.ABORTED
+        query.state = _ABORTED
         granted = self.locks.release_all(query)
-        self._finalize_query(query, Outcome.DEADLINE_MISS, freshness=None)
+        self._finalize_query(query, _DEADLINE_MISS, freshness=None)
         for grantee in granted:
             self._continue_acquisition(grantee)
         self._dispatch()
@@ -685,7 +696,7 @@ class Server:
             victim.restarts += 1
             victim.observed_freshness = None  # the restart re-reads
             if self.config.restart_aborted_queries and self.sim.now < victim.deadline:
-                victim.state = TransactionState.READY
+                victim.state = _READY
                 self.ready.push(victim)
                 emit = self._emit_enqueue
                 if emit is not None:
@@ -694,10 +705,10 @@ class Server:
                 token = self._deadline_tokens.pop(victim.txn_id, None)
                 if token is not None:
                     self.sim.cancel_token(token)
-                victim.state = TransactionState.ABORTED
-                self._finalize_query(victim, Outcome.DEADLINE_MISS, freshness=None)
+                victim.state = _ABORTED
+                self._finalize_query(victim, _DEADLINE_MISS, freshness=None)
         else:
-            victim.state = TransactionState.READY
+            victim.state = _READY
             self.ready.push(victim)
 
         for grantee in granted:
@@ -741,11 +752,9 @@ class Server:
                     waiters.discard(query.txn_id)
         self._live_queries.pop(query.txn_id, None)
 
-        if outcome is not Outcome.REJECTED:
+        if outcome is not _REJECTED:
             query.state = (
-                TransactionState.COMMITTED
-                if outcome in (Outcome.SUCCESS, Outcome.DATA_STALE)
-                else TransactionState.ABORTED
+                _COMMITTED if outcome is _SUCCESS or outcome is _DATA_STALE else _ABORTED
             )
         # Positional construction (field order) — this is the per-query
         # hot exit path and keyword binding measurably adds up.

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import ClassVar, Optional, Tuple
+from typing import ClassVar, NamedTuple, Optional, Tuple
 
 
 class Outcome(enum.Enum):
@@ -48,6 +48,10 @@ class TransactionState(enum.Enum):
 
     __hash__ = object.__hash__  # singleton members; see Outcome
 
+
+#: Terminal states, bound once for the per-call ``is_finished`` test
+#: (an Enum class attribute load is slow next to a module global).
+_FINISHED_STATES = (TransactionState.COMMITTED, TransactionState.ABORTED)
 
 # Class-priority ranks: updates run above queries (Section 3.1).
 UPDATE_CLASS_RANK = 0
@@ -84,7 +88,7 @@ class _TransactionBase:
 
     @property
     def is_finished(self) -> bool:
-        return self.state in (TransactionState.COMMITTED, TransactionState.ABORTED)
+        return self.state in _FINISHED_STATES
 
     def priority_key(self) -> Tuple[int, float, int]:
         """Total priority order: smaller tuple = higher priority."""
@@ -171,9 +175,17 @@ class UpdateTransaction(_TransactionBase):
         self._priority_key = (UPDATE_CLASS_RANK, self.deadline, self.txn_id)
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class QueryRecord:
-    """Immutable post-mortem of a finished (or rejected) query."""
+class QueryRecord(NamedTuple):
+    """Immutable post-mortem of a finished (or rejected) query.
+
+    A ``NamedTuple`` rather than a frozen dataclass: the server builds
+    one per query on its exit path, and tuple construction costs a
+    fraction of a frozen dataclass ``__init__`` (one guarded
+    ``object.__setattr__`` per field).  Fields are read-only, equality
+    and hashing are field-wise, and records pickle by value.  Being a
+    tuple, a record also compares equal to a plain tuple of the same
+    fields.
+    """
 
     txn_id: int
     arrival: float

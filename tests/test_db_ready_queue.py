@@ -90,14 +90,13 @@ def test_backlog_accounting():
     assert rq.query_backlog_before(100.0) == pytest.approx(0.3)
 
 
-def test_compact_preserves_live_entries():
+def test_remove_preserves_live_entries():
     rq = ReadyQueue()
     entries = [query(i, deadline=float(i)) for i in range(1, 8)]
     for entry in entries:
         rq.push(entry)
     for entry in entries[::2]:
         rq.remove(entry)
-    rq.compact()
     popped = []
     while True:
         txn = rq.pop()

@@ -1,5 +1,7 @@
 """Tests for transaction records and the dual-class priority order."""
 
+import pickle
+
 import pytest
 
 from repro.db.transactions import (
@@ -118,3 +120,44 @@ class TestQueryRecord:
             finish_time=1.5,
         )
         assert record.response_time == pytest.approx(0.5)
+
+    FIELDS = (
+        7, 1.0, (0, 3), 0.1, 1.0, 0.9, Outcome.DATA_STALE, 1.5, 0.5, 2, None, "gold",
+    )
+
+    def test_fields_are_read_only(self):
+        record = QueryRecord(*self.FIELDS)
+        with pytest.raises(AttributeError):
+            record.outcome = Outcome.SUCCESS  # type: ignore[misc]
+        with pytest.raises(AttributeError):
+            record.extra = 1  # type: ignore[attr-defined]
+
+    def test_equality_and_hash_are_field_wise(self):
+        record = QueryRecord(*self.FIELDS)
+        twin = QueryRecord(*self.FIELDS)
+        assert record == twin and hash(record) == hash(twin)
+        other = QueryRecord(*self.FIELDS[:-1], "default")
+        assert record != other
+
+    def test_pickle_round_trip(self):
+        record = QueryRecord(*self.FIELDS)
+        clone = pickle.loads(pickle.dumps(record))
+        assert clone == record and type(clone) is QueryRecord
+        assert clone.response_time == record.response_time
+
+    def test_positional_construction_in_field_order(self):
+        names = (
+            "txn_id", "arrival", "items", "exec_time", "relative_deadline",
+            "freshness_req", "outcome", "finish_time", "freshness", "restarts",
+            "profile", "user_class",
+        )
+        assert QueryRecord._fields == names
+        record = QueryRecord(*self.FIELDS)
+        assert record == QueryRecord(**dict(zip(names, self.FIELDS)))
+        assert [getattr(record, name) for name in names] == list(self.FIELDS)
+
+    def test_defaults(self):
+        record = QueryRecord(*self.FIELDS[:8])
+        assert (record.freshness, record.restarts, record.profile, record.user_class) == (
+            None, 0, None, "default",
+        )

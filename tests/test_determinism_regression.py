@@ -10,6 +10,8 @@ drawing from ambient state (RNG, wall clock, hash ordering); run
 import dataclasses
 import json
 
+import pytest
+
 from repro.experiments.config import SCALES, ExperimentConfig
 from repro.experiments.figures import figure4, render_figure4
 from repro.experiments.report import stable_report_bytes, stable_report_digest
@@ -93,3 +95,30 @@ class TestSmallScalePins:
         assert fleet.digest == (
             "c67ad2983c5d1fc0515cd9f0c4aa3ec8ed62fe12929f4022fa9ca5903b0fd44f"
         )
+
+
+class TestMultiItemPins:
+    """Report digests of small-scale seed-7 runs where every query reads
+    three items, so queries hold several read locks and updates preempt
+    them under 2PL-HP — paths the single-item paper and small inputs
+    never take.  Computed before the server lifecycle fast paths (idle
+    admit, shared lock loop, ``release_all`` skips); a change means
+    simulated behaviour moved."""
+
+    DIGESTS = {
+        "unit": "ab1c4f5454c4d17ae727ce56acbdb85f7b72e90b2d6a3a3e3e9d21acb4d18108",
+        "imu": "fb4d7821ed23642ef924e8fedb2c0aea7ecdc7cc08ada084061f8e58e38c7ae2",
+        "odu": "2e1f2ebdeb973899448ea952d0fdadde8ac2548ce2e8ac924becec55d425a0ec",
+        "qmf": "1271cb6c81e44902e0c17ccbe78817534bd6795888a08a2b1593f41d24d0f9e9",
+    }
+
+    @pytest.mark.parametrize("policy", sorted(DIGESTS))
+    def test_three_item_small_digest(self, policy):
+        config = ExperimentConfig(
+            policy=policy,
+            update_trace="med-unif",
+            seed=7,
+            scale=SCALES["small"],
+            items_per_query=3,
+        )
+        assert stable_report_digest(run_experiment(config)) == self.DIGESTS[policy]

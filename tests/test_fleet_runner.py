@@ -13,7 +13,7 @@ These are the acceptance gates of the fleet subsystem:
 import pytest
 
 from repro.core.fixedpoint import fixed_from_float, float_from_fixed
-from repro.db.transactions import Outcome
+from repro.db.transactions import Outcome, QueryRecord
 from repro.experiments.config import SCALES, ExperimentConfig
 from repro.experiments.report import stable_report_bytes, stable_report_digest
 from repro.experiments.runner import run_experiment
@@ -116,6 +116,17 @@ class TestMergeExactness:
 
     def test_every_query_routed_and_resolved(self, fleet):
         assert fleet.merged.queries_submitted == sum(fleet.routing["routed_counts"])
+
+    def test_kept_records_merge_across_processes(self):
+        """Query records cross the shard pipes pickled: a process fleet
+        merges the same records, field for field, as a serial one."""
+        config = base_config(keep_records=True)
+        serial = run_fleet(fleet_config(config, workers=0))
+        procs = run_fleet(fleet_config(config, workers=1))
+        records = procs.merged.records
+        assert records == serial.merged.records
+        assert len(records) == procs.merged.queries_submitted
+        assert all(type(record) is QueryRecord for record in records)
 
     def test_replicated_updates_cost_more(self, fleet):
         """2-way replication executes replica update streams: fleet-wide
